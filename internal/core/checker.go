@@ -279,24 +279,9 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	if err != nil {
 		return nil, fmt.Errorf("core: G_s: %v", err)
 	}
-	gdOrder, err := gd.TopoSort()
+	run, err := c.newRunState(gs, gd, ri)
 	if err != nil {
-		return nil, fmt.Errorf("core: G_d: %v", err)
-	}
-	run := &runState{
-		opts:    c.opts,
-		gs:      gs,
-		gd:      gd,
-		rel:     ri.Clone(),
-		ctx:     mergedContext(gs, gd),
-		rules:   c.opts.Registry.Rules(), // materialized once per Check
-		gdOrder: gdOrder,
-	}
-	run.compiled = egraph.CompileRules(run.rules)
-	for _, in := range gs.Inputs {
-		if !run.rel.Has(in) {
-			return nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)
-		}
+		return nil, err
 	}
 	if err := run.initCache(order); err != nil {
 		return nil, err
@@ -389,6 +374,31 @@ type runState struct {
 	plan *Plan
 }
 
+// newRunState prepares one run's working data: a private copy of the
+// input relation, which must map every G_s input.
+func (c *Checker) newRunState(gs, gd *graph.Graph, ri *relation.Relation) (*runState, error) {
+	gdOrder, err := gd.TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("core: G_d: %v", err)
+	}
+	run := &runState{
+		opts:    c.opts,
+		gs:      gs,
+		gd:      gd,
+		rel:     ri.Clone(),
+		ctx:     mergedContext(gs, gd),
+		rules:   c.opts.Registry.Rules(), // materialized once per Check
+		gdOrder: gdOrder,
+	}
+	run.compiled = egraph.CompileRules(run.rules)
+	for _, in := range gs.Inputs {
+		if !run.rel.Has(in) {
+			return nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)
+		}
+	}
+	return run, nil
+}
+
 func mergedContext(gs, gd *graph.Graph) *sym.Context {
 	ctx := sym.NewContext()
 	for _, a := range gs.Ctx.Assumptions() {
@@ -423,16 +433,16 @@ func (r *runState) newEGraph() *egraph.EGraph {
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
 // observedProcessOp wraps processOp with the OpObserver timing hook.
-func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
+func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (work, final egraph.Stats, outs []outputMapping, err error) {
 	if r.opts.OpObserver == nil {
 		return r.processOp(ctx, v, budget)
 	}
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	start := time.Now()
-	stats, outs, err := r.processOp(ctx, v, budget)
+	work, final, outs, err = r.processOp(ctx, v, budget)
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	r.opts.OpObserver(v, time.Since(start))
-	return stats, outs, err
+	return work, final, outs, err
 }
 
 // recoveredProcessOp runs one check attempt under panic recovery: a
@@ -440,7 +450,7 @@ func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget 
 // structured *EngineFaultError naming the operator, with the stack,
 // instead of unwinding through the worker pool (where, before this
 // layer, it deadlocked the scheduler by leaking an active slot).
-func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (stats egraph.Stats, outs []outputMapping, err error) {
+func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (work, final egraph.Stats, outs []outputMapping, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs = nil
@@ -548,9 +558,9 @@ func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc
 	}
 
 	for attempt := 0; ; attempt++ {
-		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget)
-		acc.Merge(stats)
-		live.Merge(stats)
+		work, final, outs, err := r.recoveredProcessOp(opCtx, v, budget)
+		acc.Merge(work)
+		live.Merge(work)
 		if err == nil {
 			if useCache {
 				r.storeVerdict(v, acc, verdict, outs)
@@ -585,11 +595,14 @@ func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc
 			fatal = err
 			return
 		}
-		if stats.Saturated || stats.Runs == 0 {
-			// Fixpoint reached (or the failure precedes any search):
-			// the e-graph holds every derivable equivalence and no
-			// clean mapping exists — refinement is genuinely disproved
-			// and more budget cannot change the answer.
+		if final.Saturated || final.Runs == 0 {
+			// The deciding search reached fixpoint (or the failure
+			// precedes any search): the e-graph holds every derivable
+			// equivalence and no clean mapping exists — refinement is
+			// genuinely disproved and more budget cannot change the
+			// answer. Only the last tier's own stats decide this: a
+			// budget-stopped local tier says nothing about the full
+			// tier's fixpoint.
 			verdict.Kind = VerdictDisproved
 			verdict.Err = re
 			if useCache {
@@ -614,43 +627,175 @@ func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc
 }
 
 // processOp is compute_node_out_rel (Listing 2) with the Listing-3
-// frontier optimization: seed the e-graph with v's output expression
-// and its input mappings, fold in G_d operator definitions restricted
-// to the related-tensor frontier, saturate with the lemma library, and
-// extract the clean mappings of v's outputs. It returns the operator's
-// saturation statistics; the caller merges them in topo order so the
-// aggregate is identical however ops were scheduled. processOp only
-// reads mappings of v's inputs (complete once their producers are
-// done) and only writes mappings of v's outputs, which is what makes
-// the wavefront schedule race-free and deterministic.
+// frontier optimization, run in two tiers. The local tier seeds the
+// e-graph and T_rel from a narrowed set of each input's mappings,
+// chiefly those over the fewest G_d tensors (see localMappings).
+// Mappings that sum every upstream partial (the residual stream's
+// unrolled form) would otherwise pull G_d nodes from every earlier
+// layer into the frontier, making an operator's cost grow with its
+// depth. When some output extracts no clean mapping, the full tier
+// re-runs the operator from a fresh e-graph seeded with every mapping,
+// so the narrower seed can cost a retry but never this operator's
+// verdict.
+// DisableFrontier skips the local tier: the ablation folds all of G_d
+// from all mappings.
+//
+// It returns the saturation work of every tier (work, which the caller
+// merges into the report's statistics in topo order, so the aggregate
+// is identical however ops were scheduled) and the last tier's own
+// stats (final, whose Saturated flag alone classifies a failure as
+// Disproved or Inconclusive). processOp only reads mappings of v's inputs
+// (complete once their producers are done) and only writes mappings of
+// v's outputs, which is what makes the wavefront schedule race-free
+// and deterministic.
 //
 // ctx bounds the search: it is threaded into every Saturate call and
 // checked between frontier iterations, so cancellation surfaces within
 // one iteration as a context error (never disguised as a refinement
 // failure). budget bounds each saturation run; checkOp escalates it
 // across attempts.
-func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
-	var acc egraph.Stats
+func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (work, final egraph.Stats, outs []outputMapping, err error) {
 	if expr.Collective(v.Op) {
-		return acc, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
+		return work, final, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
+	all := make([][]*expr.Term, len(v.Inputs))
+	local := make([][]*expr.Term, len(v.Inputs))
+	narrowed := false
+	for i, in := range v.Inputs {
+		all[i] = r.rel.Get(in)
+		if len(all[i]) == 0 {
+			t := r.gs.Tensor(in)
+			return work, final, nil, &RefinementError{Op: v, Tensor: t,
+				InputMappings: fmt.Sprintf("  (no mapping recorded for input %q)", t.Name)}
+		}
+		if !r.opts.DisableFrontier {
+			local[i] = r.localMappings(all[i])
+			narrowed = narrowed || len(local[i]) < len(all[i])
+		}
+	}
+	if !narrowed {
+		final, outs, err = r.saturateOp(ctx, v, budget, all)
+		return final, final, outs, err
+	}
+	work, outs, err = r.saturateOp(ctx, v, budget, local)
+	var re *RefinementError
+	if !errors.As(err, &re) {
+		return work, work, outs, err
+	}
+	final, outs, err = r.saturateOp(ctx, v, budget, all)
+	work.Merge(final)
+	return work, final, outs, err
+}
+
+// localMappings is the local tier's seed for one input: the mappings
+// over the fewest distinct G_d tensors, plus every other mapping with a
+// leaf that some G_d operator reads outside the computation of those
+// tensors. What the local tier drops is a mapping whose leaves are
+// read only by operators upstream of the fewest-leaf mappings' tensors
+// — the residual stream's unrolled sum of every upstream partial —
+// since folding forward from its leaves walks back through every
+// earlier layer toward those tensors. A leaf that is also read
+// elsewhere (a rank-local consumer of a shard that is gathered too)
+// keeps its mapping: folding forward from the fewest-leaf tensors never
+// reaches that reader. The test looks one operator deep; a need
+// further downstream is left to the full tier, which runs whenever the
+// local tier leaves an output unmapped.
+func (r *runState) localMappings(maps []*expr.Term) []*expr.Term {
+	leaves := make([][]graph.TensorID, len(maps))
+	fewest := -1
+	for i, m := range maps {
+		leaves[i] = gdLeaves(m)
+		if fewest < 0 || len(leaves[i]) < fewest {
+			fewest = len(leaves[i])
+		}
+	}
+	keep := make([]bool, len(maps))
+	// wider[t] lists the mappings over more than the fewest tensors
+	// that reference G_d tensor t.
+	wider := map[graph.TensorID][]int{}
+	var stack []graph.TensorID
+	for i, ls := range leaves {
+		if len(ls) == fewest {
+			keep[i] = true
+			stack = append(stack, ls...)
+			continue
+		}
+		for _, t := range ls {
+			wider[t] = append(wider[t], i)
+		}
+	}
+	if len(wider) == 0 {
+		return maps
+	}
+	// upstream: the G_d operators that compute the fewest-leaf
+	// mappings' tensors.
+	upstream := map[graph.NodeID]bool{}
+	for len(stack) > 0 {
+		p := r.gd.Tensor(stack[len(stack)-1]).Producer
+		stack = stack[:len(stack)-1]
+		if p != graph.NoProducer && !upstream[p] {
+			upstream[p] = true
+			stack = append(stack, r.gd.Node(p).Inputs...)
+		}
+	}
+	// A wider mapping stays when an operator outside upstream reads one
+	// of its tensors.
+	for _, n := range r.gd.Nodes {
+		if upstream[n.ID] {
+			continue
+		}
+		for _, in := range n.Inputs {
+			for _, i := range wider[in] {
+				keep[i] = true
+			}
+		}
+	}
+	var out []*expr.Term
+	for i, m := range maps {
+		if keep[i] {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// gdLeaves returns the distinct G_d tensors t references.
+func gdLeaves(t *expr.Term) []graph.TensorID {
+	var out []graph.TensorID
+	for _, leaf := range t.Leaves() {
+		if relation.IsGd(leaf) {
+			out = append(out, relation.GdTensorID(leaf))
+		}
+	}
+	return out
+}
+
+// saturateOp is one tier of processOp: seed the e-graph with v's
+// output expression and the given mappings of its inputs (seeds[i]
+// for v.Inputs[i]), fold in G_d operator definitions restricted to the
+// related-tensor frontier, saturate with the lemma library, and
+// extract the clean mappings of v's outputs. The relation is written
+// only when every output resolved, so a failed tier leaves no trace
+// for the next one.
+func (r *runState) saturateOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, seeds [][]*expr.Term) (egraph.Stats, []outputMapping, error) {
+	var acc egraph.Stats
 	satOpts := budget
 	satOpts.Ctx = ctx
 	satOpts.Compiled = r.compiled
 	eg := r.newEGraph()
 
 	// Step 1 (rewrite_t_to_expr): leaves for v's inputs, unioned with
-	// every known mapping. In e-graph form, substitution is union.
-	for _, in := range v.Inputs {
-		t := r.gs.Tensor(in)
-		cls := eg.AddTerm(relation.GsLeaf(t))
-		maps := r.rel.Get(in)
-		if len(maps) == 0 {
-			return acc, nil, &RefinementError{Op: v, Tensor: t,
-				InputMappings: fmt.Sprintf("  (no mapping recorded for input %q)", t.Name)}
-		}
-		for _, m := range maps {
+	// the seeded mappings. In e-graph form, substitution is union.
+	// Listing 3: the related-tensor frontier T_rel starts from the G_d
+	// tensors those mappings reference.
+	tRel := map[graph.TensorID]bool{}
+	for i, in := range v.Inputs {
+		cls := eg.AddTerm(relation.GsLeaf(r.gs.Tensor(in)))
+		for _, m := range seeds[i] {
 			eg.Union(cls, eg.AddTerm(m))
+			for _, t := range gdLeaves(m) {
+				tRel[t] = true
+			}
 		}
 	}
 	eg.Rebuild()
@@ -664,12 +809,6 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		outClasses[i] = eg.AddTerm(base)
 	}
 
-	// Listing 3: the related-tensor frontier T_rel starts from the G_d
-	// tensors reachable through the mappings of v's inputs.
-	tRel := map[graph.TensorID]bool{}
-	for _, gdID := range r.rel.GdLeaves(v.Inputs) {
-		tRel[gdID] = true
-	}
 	if r.opts.DisableFrontier {
 		for _, t := range r.gd.Tensors {
 			tRel[t.ID] = true
@@ -717,14 +856,11 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		// expressions of v's outputs ("related to v's outputs").
 		grew := false
 		for _, oc := range outClasses {
-			for _, t := range eg.ExtractAllClean(oc, allowGdLeaf, r.opts.MaxMappings) {
-				for _, leaf := range t.Leaves() {
-					if relation.IsGd(leaf) {
-						id := relation.GdTensorID(leaf)
-						if !tRel[id] {
-							tRel[id] = true
-							grew = true
-						}
+			for _, m := range eg.ExtractAllClean(oc, allowGdLeaf, r.opts.MaxMappings) {
+				for _, id := range gdLeaves(m) {
+					if !tRel[id] {
+						tRel[id] = true
+						grew = true
 					}
 				}
 			}
@@ -756,9 +892,9 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 	}
 
-	// Step 4: extract and record the clean output relation R_v. The
-	// exact slices added to the relation are also returned, in order,
-	// so checkOp can cache them for replay.
+	// Step 4: extract the clean output relation R_v, then record it.
+	// The exact slices added to the relation are also returned, in
+	// order, so checkOp can cache them for replay.
 	outs := make([]outputMapping, 0, len(v.Outputs))
 	for i, out := range v.Outputs {
 		mappings := eg.ExtractAllClean(outClasses[i], allowGdLeaf, r.opts.MaxMappings)
@@ -766,15 +902,16 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
 				InputMappings: r.renderInputMappings(v)}
 		}
-		r.rel.AddAll(out, mappings)
 		om := outputMapping{main: mappings}
 		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
-			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, r.opts.MaxMappings)
-			r.rel.AddAll(out, restricted)
-			om.restricted = restricted
+			om.restricted = eg.ExtractAllClean(outClasses[i], r.allowGdOutput, r.opts.MaxMappings)
 		}
 		outs = append(outs, om)
+	}
+	for i, out := range v.Outputs {
+		r.rel.AddAll(out, outs[i].main)
+		r.rel.AddAll(out, outs[i].restricted)
 	}
 	return acc, outs, nil
 }
@@ -883,10 +1020,8 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 	tRel := map[graph.TensorID]bool{}
 	for _, m := range maps {
 		eg.Union(cls, eg.AddTerm(m))
-		for _, leaf := range m.Leaves() {
-			if relation.IsGd(leaf) {
-				tRel[relation.GdTensorID(leaf)] = true
-			}
+		for _, t := range gdLeaves(m) {
+			tRel[t] = true
 		}
 	}
 	eg.Rebuild()

@@ -182,6 +182,16 @@ func gptDistributed(e *strategy.Env, c Config, opt Options) error {
 			mlpMode = strategy.ReduceNone
 		}
 		pj := e.RowParallelLinear(p("fc2"), g, p("fc2_w"), mlpMode)
+		if mlpMode == strategy.ReduceNone && opt.SP {
+			// Under SP the residual stream is sequence-sharded, so the
+			// defect keeps each rank's own sequence slice of its
+			// unreduced partial sum: the reduce of the reduce-scatter
+			// is what is missing.
+			for r := 0; r < R; r++ {
+				pj[r] = b.Slice(fmt.Sprintf("r%d/%s", r, p("fc2_scatter")), pj[r],
+					sym.Const(0), sym.Const(int64(r)*Sh), sym.Const(int64(r+1)*Sh))
+			}
+		}
 		for r := 0; r < R; r++ {
 			x[r] = b.Add(fmt.Sprintf("r%d/%s", r, p("res2")), res1[r], pj[r])
 		}

@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -221,4 +222,39 @@ func TestGPTOperatorCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = graph.NoProducer
+}
+
+// TestGPTBug7UnderSP injects bug 7 under sequence parallelism, where
+// each rank keeps its own sequence slice of the unreduced partial sum.
+// Every combination must build (no panic, no shape error) and fail
+// refinement where the TP-only injection does: at the first
+// non-linear consumer of the residual stream.
+func TestGPTBug7UnderSP(t *testing.T) {
+	for _, tp := range []int{2, 4} {
+		for layers := 1; layers <= 3; layers++ {
+			for _, vp := range []bool{false, true} {
+				name := fmt.Sprintf("tp%d/L%d/vp=%t", tp, layers, vp)
+				t.Run(name, func(t *testing.T) {
+					c := GPTConfig()
+					c.Layers = layers
+					b, err := GPT(Options{Cfg: c, TP: tp, SP: true, VP: vp, Bug: Bug7MissingAllReduce})
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = core.NewChecker(core.Options{}).Check(b.Gs, b.Gd, b.Ri)
+					var re *core.RefinementError
+					if !errors.As(err, &re) {
+						t.Fatalf("bug 7 under SP must be detected, got %v", err)
+					}
+					want := "L1/ln1"
+					if layers == 1 {
+						want = "final_ln"
+					}
+					if re.Op.Label != want {
+						t.Fatalf("localized to %q, want %q", re.Op.Label, want)
+					}
+				})
+			}
+		}
+	}
 }
